@@ -35,7 +35,27 @@ struct Args {
     data: Option<PathBuf>,
 }
 
-fn parse_args() -> Args {
+/// A malformed command line: printed with a `--help` hint, exit status 2.
+struct UsageError(String);
+
+/// The value following `flag`.
+fn flag_value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, UsageError> {
+    it.next()
+        .ok_or_else(|| UsageError(format!("{flag} needs a value")))
+}
+
+/// The value following `flag`, parsed as `what` (e.g. "a number").
+fn parsed_flag<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, UsageError> {
+    let v = flag_value(it, flag)?;
+    v.parse()
+        .map_err(|_| UsageError(format!("{flag} must be {what}, got {v:?}")))
+}
+
+fn parse_args() -> Result<Args, UsageError> {
     let mut effort = Effort::quick();
     let mut artifacts: Vec<String> = Vec::new();
     let mut out_dir = PathBuf::from("experiments-out");
@@ -45,32 +65,24 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--full" => effort = Effort::full(),
             "--micro" => effort = Effort::micro(),
-            "--scale" => {
-                let v = it.next().expect("--scale needs a value");
-                effort.graph_scale = v.parse().expect("--scale must be a number");
-            }
-            "--worlds" => {
-                let v = it.next().expect("--worlds needs a value");
-                effort.eval_worlds = v.parse().expect("--worlds must be an integer");
-            }
-            "--seed" => {
-                let v = it.next().expect("--seed needs a value");
-                effort.seed = v.parse().expect("--seed must be an integer");
-            }
+            "--scale" => effort.graph_scale = parsed_flag(&mut it, "--scale", "a number")?,
+            "--worlds" => effort.eval_worlds = parsed_flag(&mut it, "--worlds", "an integer")?,
+            "--seed" => effort.seed = parsed_flag(&mut it, "--seed", "an integer")?,
             "--pool-size" => {
-                let v = it.next().expect("--pool-size needs a value");
-                let threads: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&t| t >= 1)
-                    .expect("--pool-size must be a positive integer");
+                let what = "a positive integer";
+                let threads: usize = parsed_flag(&mut it, "--pool-size", what)?;
+                if threads == 0 {
+                    return Err(UsageError(format!("--pool-size must be {what}, got \"0\"")));
+                }
                 // Construct the shared worker pool once, up front; every
                 // evaluator in every experiment folds on it. Results are
                 // bit-identical at any size (the determinism contract) —
                 // the flag exists for perf tuning and for CI's 2-worker
                 // drift check. The pool cannot be resized once built, so a
                 // repeated flag is an error rather than silently ignored.
-                osn_pool::init_global(threads).expect("duplicate --pool-size: pool already built");
+                osn_pool::init_global(threads).map_err(|_| {
+                    UsageError("duplicate --pool-size: pool already built".to_string())
+                })?;
             }
             "--estimator" => {
                 // Which backend drives S3CA's ID phase. `mc` is the exact
@@ -79,11 +91,15 @@ fn parse_args() -> Args {
                 // pipeline); `sketch` builds a reverse-reachability sketch
                 // index and runs the greedy loop against its coverage
                 // oracle (final objectives are re-evaluated analytically).
-                let v = it.next().expect("--estimator needs mc|sketch");
+                let v = flag_value(&mut it, "--estimator")?;
                 effort.estimator = match v.as_str() {
                     "mc" => s3crm_core::EstimatorBackend::Mc,
                     "sketch" => s3crm_core::EstimatorBackend::Sketch,
-                    other => panic!("--estimator must be mc or sketch, got {other}"),
+                    other => {
+                        return Err(UsageError(format!(
+                            "--estimator must be mc or sketch, got {other:?}"
+                        )))
+                    }
                 };
             }
             "--world-storage" => {
@@ -91,14 +107,18 @@ fn parse_args() -> Args {
                 // same skip-sampled live sets and produce byte-identical
                 // CSVs (CI diffs them); dense exists for memory comparisons
                 // and as a fallback while the sparse path matures.
-                let v = it.next().expect("--world-storage needs dense|sparse");
+                let v = flag_value(&mut it, "--world-storage")?;
                 // The flag is a CLI-only shim: it writes into this run's
                 // `Effort`, which threads the choice explicitly through
                 // every experiment (no process-global state involved).
                 effort.world_storage = match v.as_str() {
                     "dense" => osn_propagation::WorldStorage::Dense,
                     "sparse" => osn_propagation::WorldStorage::Sparse,
-                    other => panic!("--world-storage must be dense or sparse, got {other}"),
+                    other => {
+                        return Err(UsageError(format!(
+                            "--world-storage must be dense or sparse, got {other:?}"
+                        )))
+                    }
                 };
             }
             "--cascade-kernel" => {
@@ -107,19 +127,21 @@ fn parse_args() -> Args {
                 // bit-identical estimates (CI diffs their CSVs); scalar
                 // exists as the bit-identity reference and for perf
                 // comparisons.
-                let v = it.next().expect("--cascade-kernel needs lane|scalar");
+                let v = flag_value(&mut it, "--cascade-kernel")?;
                 // CLI-only shim, same as `--world-storage`.
                 effort.cascade_kernel = match v.as_str() {
                     "lane" => osn_propagation::CascadeKernel::Lane,
                     "scalar" => osn_propagation::CascadeKernel::Scalar,
-                    other => panic!("--cascade-kernel must be lane or scalar, got {other}"),
+                    other => {
+                        return Err(UsageError(format!(
+                            "--cascade-kernel must be lane or scalar, got {other:?}"
+                        )))
+                    }
                 };
             }
-            "--out" => out_dir = PathBuf::from(it.next().expect("--out needs a path")),
-            "--data" => data = Some(PathBuf::from(it.next().expect("--data needs a path"))),
-            "--cache" => {
-                dataset::set_cache_dir(PathBuf::from(it.next().expect("--cache needs a directory")))
-            }
+            "--out" => out_dir = PathBuf::from(flag_value(&mut it, "--out")?),
+            "--data" => data = Some(PathBuf::from(flag_value(&mut it, "--data")?)),
+            "--cache" => dataset::set_cache_dir(PathBuf::from(flag_value(&mut it, "--cache")?)),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: repro [--full|--micro] [--scale X] [--worlds N] [--seed N] \
@@ -172,12 +194,12 @@ fn parse_args() -> Args {
             .collect()
         };
     }
-    Args {
+    Ok(Args {
         effort,
         artifacts,
         out_dir,
         data,
-    }
+    })
 }
 
 /// Do two numeric CSV cells agree within relative tolerance `tol`
@@ -568,7 +590,10 @@ fn emit(table: Table, out_dir: &std::path::Path, name: &str) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|UsageError(msg)| {
+        eprintln!("repro: {msg} (see --help)");
+        std::process::exit(2);
+    });
     if args.artifacts.first().map(String::as_str) == Some("convert") {
         run_convert(&args.artifacts[1..]);
     }

@@ -222,21 +222,22 @@ impl CandidateHeap {
         self.rescores += 1;
     }
 
-    fn push_if_positive(&mut self, u: NodeId) {
+    /// `u`'s heap entry from its cached marginal, if that marginal gains.
+    fn entry(&self, u: NodeId) -> Option<HeapEntry> {
         let db = self.db[u.index()];
         if db <= 0.0 {
-            return;
+            return None;
         }
         let dc = self.dc[u.index()];
         let mr = if dc > 0.0 { db / dc } else { f64::MAX };
-        self.heap.push(HeapEntry {
+        Some(HeapEntry {
             mr,
             pos: self.pos[u.index()],
             node: u,
             version: self.version[u.index()],
             db,
             dc,
-        });
+        })
     }
 
     fn is_candidate<E: BenefitEstimator + ?Sized>(est: &E, graph: &CsrGraph, u: NodeId) -> bool {
@@ -245,17 +246,18 @@ impl CandidateHeap {
 
     /// Full re-index after a structural change: positions shift, membership
     /// may change, but exact cached marginals of untouched candidates are
-    /// reused as-is.
+    /// reused as-is. The heap is emptied and re-heapified in one O(spread)
+    /// pass, so no stale entry survives and versions need no bump; since
+    /// `(mr, pos)` totally orders the entries, the pop order is the same as
+    /// pushing them one by one.
     fn rebuild_all<E: BenefitEstimator + ?Sized>(
         &mut self,
         est: &E,
         graph: &CsrGraph,
         scratch: &mut DeltaScratch,
     ) {
-        self.heap.clear();
-        for v in self.version.iter_mut() {
-            *v = v.wrapping_add(1);
-        }
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.clear();
         for (p, &u) in est.order().iter().enumerate() {
             self.pos[u.index()] = p as u32;
             if !Self::is_candidate(est, graph, u) {
@@ -264,8 +266,9 @@ impl CandidateHeap {
             if !self.scored[u.index()] {
                 self.rescore(est, u, scratch);
             }
-            self.push_if_positive(u);
+            entries.extend(self.entry(u));
         }
+        self.heap = BinaryHeap::from(entries);
     }
 
     /// Fold a committed move's refresh delta into the index: only nodes
@@ -316,7 +319,9 @@ impl CandidateHeap {
             self.version[u.index()] = self.version[u.index()].wrapping_add(1);
             if Self::is_candidate(est, graph, u) {
                 self.rescore(est, u, scratch);
-                self.push_if_positive(u);
+                if let Some(e) = self.entry(u) {
+                    self.heap.push(e);
+                }
             }
         }
         self.dirty = dirty;
@@ -351,15 +356,17 @@ impl CandidateHeap {
     }
 }
 
-/// Mark every node the exhaustive scan would have expanded this iteration
-/// (candidate-set parity with the reference implementation keeps Fig. 9's
-/// explored ratio byte-identical).
+/// Mark the nodes among `nodes` that the exhaustive scan would expand this
+/// iteration: spread members with positive activation probability and
+/// coupons left below their out-degree (candidate-set parity with the
+/// reference implementation keeps Fig. 9's explored ratio byte-identical).
 fn mark_explored<E: BenefitEstimator + ?Sized>(
     est: &E,
     graph: &CsrGraph,
+    nodes: &[NodeId],
     explored: &mut ExploreTracker,
 ) {
-    for &u in est.order() {
+    for &u in nodes {
         if est.active_prob()[u.index()] <= 0.0 {
             continue;
         }
@@ -433,6 +440,15 @@ where
     let mut scratch = DeltaScratch::default();
     let mut cache = CandidateHeap::new(n);
     cache.rebuild_all(&engine, graph, &mut scratch);
+    // The explored set only grows, so after a full pass a move can only
+    // add nodes whose inputs to the explore test changed: the moved node
+    // (its coupon count) and every node whose activation probability
+    // changed. Structural moves may change membership and take a full
+    // pass. Marking happens at the top of the next iteration, as in the
+    // reference scan, so a run stopped by `max_iterations` never marks the
+    // final state.
+    let mut explore_all = true;
+    let mut explore_dirty: Vec<NodeId> = Vec::new();
 
     let mut best_dep = dep.clone();
     let mut best_value = value;
@@ -446,7 +462,13 @@ where
 
     while iterations < max_iterations {
         // Best coupon move (strategies 1–2) over the current spread.
-        mark_explored(&engine, graph, explored);
+        if explore_all {
+            mark_explored(&engine, graph, engine.order(), explored);
+            explore_all = false;
+        } else {
+            mark_explored(&engine, graph, &explore_dirty, explored);
+        }
+        explore_dirty.clear();
         let best_node = cache.pop_best(value.total_cost(), binv);
 
         // Strategy 3: the pivot source's standalone rate.
@@ -473,18 +495,23 @@ where
             (true, true) => best_node.expect("guarded").3 > pivot_rate,
         };
 
-        if take_coupon {
+        let (moved, delta) = if take_coupon {
             let (u, ..) = best_node.expect("guarded by take_coupon");
             dep.add_coupons(graph, u, 1);
-            let (_, delta) = engine.add_coupons(u, 1);
-            cache.apply(&engine, graph, &delta, u, &mut scratch);
+            (u, engine.add_coupons(u, 1).1)
         } else {
             let pkg = pivot.take().expect("guarded by pivot_feasible");
             apply_package(graph, &mut dep, &pkg);
             explored.mark(pkg.node);
             pivot = next_usable_pivot(&mut queue, &dep);
-            let delta = engine.add_seed_package(pkg.node, pkg.coupons);
-            cache.apply(&engine, graph, &delta, pkg.node, &mut scratch);
+            (pkg.node, engine.add_seed_package(pkg.node, pkg.coupons))
+        };
+        cache.apply(&engine, graph, &delta, moved, &mut scratch);
+        if delta.structural {
+            explore_all = true;
+        } else {
+            explore_dirty.push(moved);
+            explore_dirty.extend_from_slice(&delta.probs_changed);
         }
         iterations += 1;
 

@@ -11,11 +11,16 @@
 //! * **Broaden** (one more coupon to a current holder) extends that
 //!   holder's [`RankDp`] in O(deg) — the saturating coupon-consumption
 //!   distribution is rolled forward one row instead of recomputed — and
-//!   re-runs only the flat propagation passes.
+//!   then refreshes activation probabilities and subtree gains.
 //! * **Deepen / new seed / coupon retrieval** re-derive the spread
-//!   structure (BFS order), but every untouched holder's DP is reused;
-//!   only holders whose eligibility actually changed (in-neighbors of a
-//!   new seed, the retrieval donor) rebuild theirs.
+//!   structure (BFS over the spread), but every untouched holder's DP is
+//!   reused; only holders whose eligibility actually changed (in-neighbors
+//!   of a new seed, the retrieval donor) rebuild theirs.
+//! * Every refresh is **spread-local**: outside the current and former
+//!   spread, activation probabilities stay 0 and gains stay each node's
+//!   own benefit, so only that union is reset, recomputed and diffed. A
+//!   move therefore costs O(|spread| + Σ holder out-degree), independent
+//!   of |V|; only [`rebuild`](SpreadEngine::rebuild) touches every node.
 //! * Marginal probes ([`coupon_add_delta`](SpreadEngine::coupon_add_delta))
 //!   answer "what if `u` got one more coupon" in O(deg) from the cached
 //!   availability sums, replacing two O(deg·k) DP sweeps per candidate.
@@ -37,8 +42,8 @@
 use crate::cost::seed_cost;
 use crate::rank::{redemption_probs_into, RankDp};
 use crate::spread::{
-    accumulate_gains, benefit_sum, collect_eligible, propagate_activation, spread_levels, DistRef,
-    SpreadState,
+    accumulate_gains, benefit_sum, collect_eligible, propagate_activation, spread_levels_into,
+    DistRef, SpreadState,
 };
 use osn_graph::{CsrGraph, NodeData, NodeId};
 
@@ -133,10 +138,18 @@ pub struct SpreadEngine<'a> {
     /// Node → holder slot (`NO_SLOT` when the node holds no coupons).
     slot: Vec<u32>,
     holders: Vec<Holder>,
+    /// Every holder's node, ascending — the summation order of
+    /// [`sc_cost`](Self::sc_cost).
+    holder_nodes: Vec<NodeId>,
     /// Holder slots that participate in propagation: spread members with at
     /// least one eligible child, in spread order (mirrors
     /// `SpreadState::evaluate`'s `distributions`).
     spread_dists: Vec<u32>,
+    /// Members that left the spread at the last structure re-derivation
+    /// and have not been diffed yet. Outside the spread and these, every
+    /// activation probability is 0 and every gain is the node's own
+    /// benefit, so a refresh diffs only `order` and `left`.
+    left: Vec<NodeId>,
     /// Fixpoint scratch.
     complement: Vec<f64>,
     /// Previous pass results, for exact-bit change detection.
@@ -156,6 +169,11 @@ impl<'a> SpreadEngine<'a> {
     ) -> SpreadEngine<'a> {
         debug_assert_eq!(coupons.len(), graph.node_count());
         let n = graph.node_count();
+        // Outside the spread every node's gain is its own benefit; the
+        // refreshes only ever rewrite spread entries.
+        let benefits: Vec<f64> = (0..n)
+            .map(|i| data.benefit(NodeId::from_index(i)))
+            .collect();
         let mut engine = SpreadEngine {
             graph,
             data,
@@ -166,14 +184,16 @@ impl<'a> SpreadEngine<'a> {
             levels: vec![None; n],
             order: Vec::new(),
             active_prob: vec![0.0; n],
-            subtree_gain: vec![0.0; n],
+            subtree_gain: benefits.clone(),
             expected_benefit: 0.0,
             slot: vec![NO_SLOT; n],
             holders: Vec::new(),
+            holder_nodes: Vec::new(),
             spread_dists: Vec::new(),
+            left: Vec::new(),
             complement: vec![1.0; n],
             prev_active: vec![0.0; n],
-            prev_gain: vec![0.0; n],
+            prev_gain: benefits,
             counters: EngineCounters::default(),
         };
         engine.rebuild();
@@ -190,6 +210,7 @@ impl<'a> SpreadEngine<'a> {
             *s = NO_SLOT;
         }
         self.holders.clear();
+        self.holder_nodes.clear();
         for i in 0..self.graph.node_count() {
             self.seed_mask[i] = false;
         }
@@ -203,6 +224,7 @@ impl<'a> SpreadEngine<'a> {
                 let holder = self.build_holder(node, self.coupons[i]);
                 self.slot[i] = self.holders.len() as u32;
                 self.holders.push(holder);
+                self.holder_nodes.push(node);
             }
         }
         self.counters.full_rebuilds += 1;
@@ -260,11 +282,8 @@ impl<'a> SpreadEngine<'a> {
     /// [`expected_sc_cost`](crate::cost::expected_sc_cost).
     pub fn sc_cost(&self) -> f64 {
         let mut total = 0.0;
-        for i in 0..self.slot.len() {
-            let s = self.slot[i];
-            if s != NO_SLOT {
-                total += self.holders[s as usize].local_cost;
-            }
+        for &v in &self.holder_nodes {
+            total += self.holders[self.slot[v.index()] as usize].local_cost;
         }
         total
     }
@@ -319,9 +338,7 @@ impl<'a> SpreadEngine<'a> {
             // structure cannot change, only probabilities and gains do.
             (add, self.refresh(false))
         } else {
-            let holder = self.build_holder(u, add);
-            self.slot[u.index()] = self.holders.len() as u32;
-            self.holders.push(holder);
+            self.insert_holder(u, add);
             self.derive_structure();
             (add, self.refresh(true))
         }
@@ -361,9 +378,7 @@ impl<'a> SpreadEngine<'a> {
                     let k = self.coupons[v.index()];
                     self.holders[s] = self.build_holder(v, k);
                 } else {
-                    let holder = self.build_holder(v, add);
-                    self.slot[v.index()] = self.holders.len() as u32;
-                    self.holders.push(holder);
+                    self.insert_holder(v, add);
                 }
             }
         }
@@ -394,6 +409,11 @@ impl<'a> SpreadEngine<'a> {
                 let moved = self.holders[s].node;
                 self.slot[moved.index()] = s as u32;
             }
+            let at = self
+                .holder_nodes
+                .binary_search(&u)
+                .expect("every holder is listed");
+            self.holder_nodes.remove(at);
             // The node no longer relays: descendants may leave the spread.
             self.derive_structure();
             (take, self.refresh(true))
@@ -519,12 +539,40 @@ impl<'a> SpreadEngine<'a> {
         }
     }
 
+    /// Register a new holder of `k` coupons at `node`.
+    fn insert_holder(&mut self, node: NodeId, k: u32) {
+        let holder = self.build_holder(node, k);
+        self.slot[node.index()] = self.holders.len() as u32;
+        self.holders.push(holder);
+        let at = self
+            .holder_nodes
+            .binary_search(&node)
+            .expect_err("a new holder is not listed yet");
+        self.holder_nodes.insert(at, node);
+    }
+
     /// Re-derive the spread structure (BFS levels/order and the ordered
-    /// distribution list) from the current seeds and coupons.
+    /// distribution list) from the current seeds and coupons. Only the old
+    /// and new members are visited: the old ones first drop back to the
+    /// outside-the-spread state (no level, probability 0, own benefit as
+    /// gain), which also resets every former propagating holder.
     fn derive_structure(&mut self) {
-        let (levels, order) = spread_levels(self.graph, &self.seeds, &self.coupons);
-        self.levels = levels;
-        self.order = order;
+        let former = std::mem::take(&mut self.order);
+        for &v in &former {
+            self.levels[v.index()] = None;
+            self.active_prob[v.index()] = 0.0;
+            self.subtree_gain[v.index()] = self.data.benefit(v);
+        }
+        spread_levels_into(
+            self.graph,
+            &self.seeds,
+            &self.coupons,
+            &mut self.levels,
+            &mut self.order,
+        );
+        let levels = &self.levels;
+        self.left
+            .extend(former.into_iter().filter(|v| levels[v.index()].is_none()));
         self.spread_dists.clear();
         for &u in &self.order {
             if self.coupons[u.index()] == 0 {
@@ -542,8 +590,12 @@ impl<'a> SpreadEngine<'a> {
     /// Re-run the propagation passes (the same `pub(crate)` functions
     /// `SpreadState::evaluate` uses) over the cached distributions and
     /// report, with exact-bit granularity, which nodes changed.
+    ///
+    /// Everything here is O(|spread| + Σ holder out-degree): only the
+    /// current spread is recomputed, and only it and `left` are diffed.
+    /// `structural` says whether [`derive_structure`](Self::derive_structure)
+    /// ran since the last refresh.
     fn refresh(&mut self, structural: bool) -> RefreshDelta {
-        let n = self.graph.node_count();
         let dists: Vec<DistRef<'_>> = self
             .spread_dists
             .iter()
@@ -558,13 +610,17 @@ impl<'a> SpreadEngine<'a> {
             .collect();
         propagate_activation(
             &dists,
+            &self.order,
             &self.seeds,
             &self.seed_mask,
             &mut self.active_prob,
             &mut self.complement,
         );
-        for i in 0..n {
-            self.subtree_gain[i] = self.data.benefit(NodeId::from_index(i));
+        // Gains differ from the own benefit only at propagating holders
+        // (former ones were reset by `derive_structure`): reset the current
+        // ones before the backward pass reads them.
+        for d in &dists {
+            self.subtree_gain[d.node.index()] = self.data.benefit(d.node);
         }
         accumulate_gains(&dists, self.data, &mut self.subtree_gain);
         self.expected_benefit = benefit_sum(&self.order, &self.active_prob, self.data);
@@ -573,16 +629,22 @@ impl<'a> SpreadEngine<'a> {
             structural,
             ..RefreshDelta::default()
         };
-        for i in 0..n {
+        for &v in self.order.iter().chain(&self.left) {
+            let i = v.index();
             if self.active_prob[i].to_bits() != self.prev_active[i].to_bits() {
-                delta.probs_changed.push(NodeId::from_index(i));
+                delta.probs_changed.push(v);
+                self.prev_active[i] = self.active_prob[i];
             }
             if self.subtree_gain[i].to_bits() != self.prev_gain[i].to_bits() {
-                delta.gains_changed.push(NodeId::from_index(i));
+                delta.gains_changed.push(v);
+                self.prev_gain[i] = self.subtree_gain[i];
             }
         }
-        self.prev_active.copy_from_slice(&self.active_prob);
-        self.prev_gain.copy_from_slice(&self.subtree_gain);
+        self.left.clear();
+        // A move changes few nodes: sorting the reports is far cheaper than
+        // visiting the members in node order.
+        delta.probs_changed.sort_unstable();
+        delta.gains_changed.sort_unstable();
         delta
     }
 }

@@ -73,11 +73,13 @@
 //!   DP sweep); a *broaden* move
 //!   ([`add_coupons`](SpreadEngine::add_coupons) on a current holder)
 //!   extends that holder's saturating consumption distribution in O(deg)
-//!   and re-runs only the flat propagation passes; *deepen*, *new seed*
-//!   ([`add_seed_package`](SpreadEngine::add_seed_package)) and *coupon
-//!   retrieval* ([`remove_coupons`](SpreadEngine::remove_coupons))
+//!   and refreshes the spread's probabilities and gains; *deepen*, *new
+//!   seed* ([`add_seed_package`](SpreadEngine::add_seed_package)) and
+//!   *coupon retrieval* ([`remove_coupons`](SpreadEngine::remove_coupons))
 //!   re-derive the BFS structure but reuse every untouched holder's DP,
-//!   rebuilding only holders whose eligibility or count changed. O(deg)
+//!   rebuilding only holders whose eligibility or count changed. Each
+//!   refresh touches only the current and former spread members, so a
+//!   move costs O(|spread| + Σ holder out-degree), not O(|V|). O(deg)
 //!   marginal probes ([`coupon_add_delta`](SpreadEngine::coupon_add_delta))
 //!   serve the greedy candidate ranking from the cached availability sums.
 //!

@@ -21,7 +21,6 @@
 
 use crate::rank::redemption_probs;
 use osn_graph::{CsrGraph, NodeData, NodeId};
-use std::collections::VecDeque;
 
 /// Fully evaluated analytic state of one deployment.
 #[derive(Clone, Debug)]
@@ -49,18 +48,35 @@ pub fn spread_levels(
     seeds: &[NodeId],
     coupons: &[u32],
 ) -> (Vec<Option<u32>>, Vec<NodeId>) {
-    let n = graph.node_count();
-    let mut levels: Vec<Option<u32>> = vec![None; n];
+    let mut levels: Vec<Option<u32>> = vec![None; graph.node_count()];
     let mut order = Vec::new();
-    let mut queue = VecDeque::new();
+    spread_levels_into(graph, seeds, coupons, &mut levels, &mut order);
+    (levels, order)
+}
+
+/// [`spread_levels`] into caller-owned buffers: `levels` must arrive `None`
+/// everywhere, and only the spread members' entries are written, so a
+/// caller that clears its previous members keeps the cost O(spread).
+pub(crate) fn spread_levels_into(
+    graph: &CsrGraph,
+    seeds: &[NodeId],
+    coupons: &[u32],
+    levels: &mut [Option<u32>],
+    order: &mut Vec<NodeId>,
+) {
+    order.clear();
     for &s in seeds {
         if levels[s.index()].is_none() {
             levels[s.index()] = Some(0);
             order.push(s);
-            queue.push_back(s);
         }
     }
-    while let Some(u) = queue.pop_front() {
+    // `order` doubles as the FIFO queue: members are appended in exactly
+    // the sequence a BFS dequeues them.
+    let mut head = 0;
+    while head < order.len() {
+        let u = order[head];
+        head += 1;
         if coupons[u.index()] == 0 {
             continue;
         }
@@ -69,11 +85,9 @@ pub fn spread_levels(
             if levels[v.index()].is_none() {
                 levels[v.index()] = Some(lu + 1);
                 order.push(v);
-                queue.push_back(v);
             }
         }
     }
-    (levels, order)
 }
 
 /// Eligibility of the edge `u -> v` for coupon distribution: a coupon is
@@ -103,8 +117,13 @@ pub(crate) struct DistRef<'a> {
 
 /// Forward pass: activation probabilities in ascending level order (one
 /// exact pass on forests), then Jacobi fixpoint refinement so cross- and
-/// back-edges of cyclic graphs contribute too. `active_prob` and
-/// `complement` must be `n`-sized scratch; both are fully overwritten.
+/// back-edges of cyclic graphs contribute too.
+///
+/// Only the spread `members` are read or written: `active_prob` must be
+/// zero everywhere else (every distribution target is a member, so no
+/// other node can become active), and `complement` is scratch whose member
+/// entries are overwritten (and left at 1.0). The cost is
+/// O(|members| + Σ holder out-degree), independent of the network size.
 ///
 /// The fixpoint round count is deliberately small: iterating to the true
 /// fixpoint over-amplifies through short cycles (the independence
@@ -114,13 +133,16 @@ pub(crate) struct DistRef<'a> {
 /// 0 after one round), so the pinned paper numbers are untouched.
 pub(crate) fn propagate_activation(
     dists: &[DistRef<'_>],
+    members: &[NodeId],
     seeds: &[NodeId],
     seed_mask: &[bool],
     active_prob: &mut [f64],
     complement: &mut [f64],
 ) {
-    let n = seed_mask.len();
-    active_prob.fill(0.0);
+    for &v in members {
+        active_prob[v.index()] = 0.0;
+        complement[v.index()] = 1.0;
+    }
     for &s in seeds {
         active_prob[s.index()] = 1.0;
     }
@@ -139,9 +161,6 @@ pub(crate) fn propagate_activation(
     // Bounded fixpoint refinement: recompute every non-seed probability
     // from all incoming distributions.
     for _ in 0..3 {
-        for c in complement.iter_mut() {
-            *c = 1.0;
-        }
         for d in dists {
             let pu = active_prob[d.node.index()];
             if pu <= 0.0 {
@@ -152,12 +171,14 @@ pub(crate) fn propagate_activation(
             }
         }
         let mut delta = 0.0f64;
-        for i in 0..n {
+        for &v in members {
+            let i = v.index();
             if seed_mask[i] {
                 continue;
             }
             let new_p = 1.0 - complement[i];
-            // Only nodes receiving coupons can be active.
+            // Ready for the next round's products.
+            complement[i] = 1.0;
             let old = active_prob[i];
             if (new_p - old).abs() > delta {
                 delta = (new_p - old).abs();
@@ -246,7 +267,14 @@ impl SpreadState {
 
         let mut active_prob = vec![0.0f64; n];
         let mut complement = vec![1.0f64; n];
-        propagate_activation(&dists, seeds, &seed_mask, &mut active_prob, &mut complement);
+        propagate_activation(
+            &dists,
+            &order,
+            seeds,
+            &seed_mask,
+            &mut active_prob,
+            &mut complement,
+        );
 
         // Outside the spread every node's gain is just its own benefit (no
         // coupons reach it during the current deployment).

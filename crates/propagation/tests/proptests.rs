@@ -7,7 +7,7 @@ use osn_propagation::spread::SpreadState;
 use osn_propagation::world::{WorldCache, WorldStorage};
 use osn_propagation::{
     expected_sc_cost, BenefitEvaluator, CascadeKernel, DeltaScratch, DeploymentRef,
-    MonteCarloEvaluator, SpreadEngine,
+    MonteCarloEvaluator, RefreshDelta, SpreadEngine,
 };
 use proptest::prelude::*;
 
@@ -91,6 +91,64 @@ fn assert_engine_is_fresh(engine: &SpreadEngine<'_>, graph: &CsrGraph, data: &No
         seed.to_bits(),
         "seed_cost diverged"
     );
+}
+
+/// Non-uniform per-node attributes for the [`DG_N`]-node digraphs: every
+/// benefit differs, so a subtree gain left at a stale value (or at 0
+/// instead of `b(v)`) is visible in the bits.
+fn dg_data() -> NodeData {
+    let benefit = (0..DG_N).map(|i| 1.0 + 0.37 * i as f64).collect();
+    let sc_cost = (0..DG_N).map(|i| 0.5 + 0.25 * (i % 4) as f64).collect();
+    NodeData::new(benefit, vec![1.0; DG_N], sc_cost).unwrap()
+}
+
+/// Assert a move's change report equals the brute-force, full-|V| bitwise
+/// diff of the engine state before and after it: exact ascending node
+/// lists, and the structural flag the move kind implies (which must be set
+/// whenever the spread order changed).
+fn assert_delta_is_exact(
+    before: &SpreadState,
+    after: &SpreadState,
+    delta: &RefreshDelta,
+    structural: bool,
+) {
+    let changed = |a: &[f64], b: &[f64]| -> Vec<NodeId> {
+        (0..a.len())
+            .filter(|&i| a[i].to_bits() != b[i].to_bits())
+            .map(|i| NodeId(i as u32))
+            .collect()
+    };
+    assert_eq!(
+        delta.probs_changed,
+        changed(&before.active_prob, &after.active_prob),
+        "probs_changed is not the exact bitwise diff"
+    );
+    assert_eq!(
+        delta.gains_changed,
+        changed(&before.subtree_gain, &after.subtree_gain),
+        "gains_changed is not the exact bitwise diff"
+    );
+    assert_eq!(delta.structural, structural, "structural flag");
+    assert!(
+        structural || before.order == after.order,
+        "order changed on a non-structural move"
+    );
+}
+
+/// The escape hatch is a bitwise no-op on a maintained engine: nothing
+/// changes, and its change report is empty.
+fn assert_rebuild_is_a_no_op(engine: &mut SpreadEngine<'_>, graph: &CsrGraph, data: &NodeData) {
+    let before = engine.to_state();
+    let delta = engine.rebuild();
+    let after = engine.to_state();
+    assert_delta_is_exact(&before, &after, &delta, true);
+    assert!(delta.probs_changed.is_empty() && delta.gains_changed.is_empty());
+    assert_eq!(before.order, after.order);
+    assert_eq!(
+        before.expected_benefit.to_bits(),
+        after.expected_benefit.to_bits()
+    );
+    assert_engine_is_fresh(engine, graph, data);
 }
 
 proptest! {
@@ -375,21 +433,29 @@ proptest! {
     /// The tentpole contract: after ANY random move sequence — coupon
     /// grants, seed packages, coupon retrievals, on cyclic graphs — the
     /// incrementally maintained engine equals a from-scratch evaluation
-    /// (and a from-scratch `rebuild()`) bit for bit.
+    /// (and a from-scratch `rebuild()`) bit for bit, and every move's
+    /// `RefreshDelta` names exactly the nodes whose probability or gain
+    /// bits changed. The script ends by retrieving every coupon, so
+    /// spread-shrinking retrievals are always covered.
     #[test]
     fn engine_equals_rebuild_after_any_move_sequence(
         edges in digraph_strategy(),
         moves in moves_strategy(),
     ) {
         let g = build_digraph(&edges);
-        let d = NodeData::uniform(DG_N, 1.0, 1.0, 1.0);
+        let d = dg_data();
         let mut seeds = vec![NodeId(0)];
         let mut coupons = vec![0u32; DG_N];
         coupons[0] = (g.out_degree(NodeId(0)) as u32).min(1);
         let mut engine = SpreadEngine::new(&g, &d, &seeds, &coupons);
         assert_engine_is_fresh(&engine, &g, &d);
-        for &(op, node, amount) in &moves {
+        let drain: Vec<(u8, u32, u32)> = (0..DG_N as u32).map(|v| (2, v, u32::MAX)).collect();
+        for (step, &(op, node, amount)) in moves.iter().chain(&drain).enumerate() {
+            if step == moves.len() {
+                assert_rebuild_is_a_no_op(&mut engine, &g, &d);
+            }
             let v = NodeId(node);
+            let before = engine.to_state();
             match op {
                 0 => {
                     // Mirror Deployment::add_coupons' capping.
@@ -397,8 +463,11 @@ proptest! {
                     let cur = coupons[v.index()];
                     let add = amount.min(cap.saturating_sub(cur));
                     coupons[v.index()] = cur + add;
-                    let (added, _) = engine.add_coupons(v, amount);
+                    let (added, delta) = engine.add_coupons(v, amount);
                     prop_assert_eq!(added, add, "cap mismatch on coupon grant");
+                    // Only a first coupon can grow the spread.
+                    let structural = add > 0 && cur == 0;
+                    assert_delta_is_exact(&before, &engine.to_state(), &delta, structural);
                 }
                 1 => {
                     if !seeds.contains(&v) {
@@ -407,13 +476,18 @@ proptest! {
                     let cap = g.out_degree(v) as u32;
                     let cur = coupons[v.index()];
                     coupons[v.index()] = cur + amount.min(cap.saturating_sub(cur));
-                    engine.add_seed_package(v, amount);
+                    let delta = engine.add_seed_package(v, amount);
+                    assert_delta_is_exact(&before, &engine.to_state(), &delta, true);
                 }
                 2 => {
-                    let take = amount.min(coupons[v.index()]);
+                    let cur = coupons[v.index()];
+                    let take = amount.min(cur);
                     coupons[v.index()] -= take;
-                    let (removed, _) = engine.remove_coupons(v, amount);
+                    let (removed, delta) = engine.remove_coupons(v, amount);
                     prop_assert_eq!(removed, take, "cap mismatch on retrieval");
+                    // Only retrieving the last coupon can shrink the spread.
+                    let structural = take > 0 && take == cur;
+                    assert_delta_is_exact(&before, &engine.to_state(), &delta, structural);
                 }
                 _ => {
                     // Marginal probes must never perturb the state.
@@ -426,15 +500,8 @@ proptest! {
             prop_assert_eq!(engine.coupons(), &coupons[..]);
             assert_engine_is_fresh(&engine, &g, &d);
         }
-        // The escape hatch is a bitwise no-op on a maintained engine.
-        let before = engine.to_state();
-        engine.rebuild();
-        assert_engine_is_fresh(&engine, &g, &d);
-        prop_assert_eq!(&before.order, &engine.to_state().order);
-        prop_assert_eq!(
-            before.expected_benefit.to_bits(),
-            engine.expected_benefit().to_bits()
-        );
+        prop_assert!(engine.coupons().iter().all(|&k| k == 0));
+        assert_rebuild_is_a_no_op(&mut engine, &g, &d);
     }
 
     /// O(deg) engine probes equal the O(deg·k) `SpreadState` deltas bit for

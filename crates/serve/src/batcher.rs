@@ -260,6 +260,18 @@ impl ProbeBatcher {
 }
 
 #[cfg(test)]
+impl ProbeBatcher {
+    /// Whether `key`'s group has elected a leader: one is reigning now, or
+    /// a reign already died. Lets tests order submitters deterministically.
+    fn leader_elected(&self, key: &str) -> bool {
+        lock(&self.groups).get(key).is_some_and(|g| {
+            let st = lock(&g.state);
+            st.leader_active || st.generation > 0
+        })
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use s3crm_bench::Effort;
@@ -364,6 +376,8 @@ mod tests {
         let n = ds.graph.node_count();
 
         // The leader's own deployment is malformed; followers' are fine.
+        // Followers start only once the malformed submitter holds (or has
+        // held) leadership, so it is the batch leader on every schedule.
         // Followers that race into the same batch must all be failed over;
         // any that arrive after the leader took its jobs simply run on a
         // fresh batch and succeed — both outcomes are sound, hanging is
@@ -377,6 +391,9 @@ mod tests {
                     }))
                 })
             };
+            while !batcher.leader_elected("k") {
+                std::thread::yield_now();
+            }
             let followers: Vec<_> = (0..4)
                 .map(|i| {
                     let (batcher, backend, ds) = (Arc::clone(&batcher), &backend, &ds);

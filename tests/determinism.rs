@@ -413,6 +413,38 @@ fn incremental_engine_matches_reference_csv_at_pinned_pool_sizes() {
     }
 }
 
+/// Explore marking is delta-driven on the engine path (only nodes a move
+/// touched are re-tested between structural moves) but happens at the top
+/// of each iteration, like the reference scan. A run stopped by a small
+/// `max_iterations` cap must therefore report the same explored count and
+/// iteration count as the reference: the final move's delta must not leak
+/// into the explored set.
+#[test]
+fn explored_set_matches_reference_under_iteration_caps() {
+    use s3crm_core::id_phase::{
+        investment_deployment, investment_deployment_reference, ExploreTracker,
+    };
+
+    let inst = DatasetProfile::Facebook
+        .generate(0.02, 19)
+        .expect("generation");
+    let n = inst.graph.node_count();
+    for cap in [1usize, 2, 7, 50] {
+        let mut t_engine = ExploreTracker::new(n);
+        let mut t_ref = ExploreTracker::new(n);
+        let a = investment_deployment(&inst.graph, &inst.data, inst.budget, &mut t_engine, cap);
+        let b =
+            investment_deployment_reference(&inst.graph, &inst.data, inst.budget, &mut t_ref, cap);
+        assert_eq!(a.iterations, b.iterations, "iterations at cap {cap}");
+        assert_eq!(
+            t_engine.count(),
+            t_ref.count(),
+            "explored count at cap {cap}"
+        );
+        assert_eq!(a.deployment, b.deployment, "D* at cap {cap}");
+    }
+}
+
 /// World storage is representation only: the sparse gap-encoded CSR and
 /// the dense bitset hold bit-for-bit identical skip-sampled live sets, and
 /// every Monte-Carlo statistic (hence every CSV cell) is bit-identical
