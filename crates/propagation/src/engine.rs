@@ -10,17 +10,30 @@
 //!
 //! * **Broaden** (one more coupon to a current holder) extends that
 //!   holder's [`RankDp`] in O(deg) — the saturating coupon-consumption
-//!   distribution is rolled forward one row instead of recomputed — and
-//!   then refreshes activation probabilities and subtree gains.
-//! * **Deepen / new seed / coupon retrieval** re-derive the spread
-//!   structure (BFS over the spread), but every untouched holder's DP is
-//!   reused; only holders whose eligibility actually changed (in-neighbors
-//!   of a new seed, the retrieval donor) rebuild theirs.
+//!   distribution is rolled forward one row instead of recomputed. It
+//!   changes only that holder's q, so the refresh is **local**: only the
+//!   nodes that read the changed q (directly or through a changed
+//!   probability or gain) are re-folded from a per-member in-entry list,
+//!   with the passes' own floating-point sequence. A broaden costs those
+//!   re-folds plus the O(|spread|) benefit sum. A **partial retrieval**
+//!   (the donor keeps ≥ 1 coupon) rebuilds the donor's DP and refreshes
+//!   the same way.
+//! * **Deepen / new seed / last-coupon retrieval** re-derive the spread
+//!   structure (BFS over the spread plus the in-entry lists), but every
+//!   untouched holder's DP is reused; only holders whose eligibility
+//!   actually changed (in-neighbors of a new seed, the retrieval donor)
+//!   rebuild theirs. These structural moves re-run the full passes over
+//!   the spread: O(|spread| + Σ holder out-degree).
 //! * Every refresh is **spread-local**: outside the current and former
 //!   spread, activation probabilities stay 0 and gains stay each node's
-//!   own benefit, so only that union is reset, recomputed and diffed. A
-//!   move therefore costs O(|spread| + Σ holder out-degree), independent
-//!   of |V|; only [`rebuild`](SpreadEngine::rebuild) touches every node.
+//!   own benefit, so nothing there is reset, recomputed or diffed; no move
+//!   depends on |V|, and only [`rebuild`](SpreadEngine::rebuild) touches
+//!   every node.
+//! * The local refresh reproduces only the first fixpoint round. When the
+//!   spread needs a second round before or after a move (cycles whose
+//!   echo moves a probability by ≥ 1e-12), that move takes the full
+//!   refresh instead; [`EngineCounters::local_refreshes`] counts the moves
+//!   that stayed local.
 //! * Marginal probes ([`coupon_add_delta`](SpreadEngine::coupon_add_delta))
 //!   answer "what if `u` got one more coupon" in O(deg) from the cached
 //!   availability sums, replacing two O(deg·k) DP sweeps per candidate.
@@ -32,8 +45,10 @@
 //! gains, expected benefit, SC cost) is **bit-identical** to a from-scratch
 //! [`SpreadState::evaluate`] of the same deployment — the incremental DP
 //! extension reproduces the exact floating-point sequence of the full DP
-//! (see [`RankDp`]), and the propagation passes are the very same
-//! `pub(crate)` functions `SpreadState` runs. [`rebuild`](SpreadEngine::rebuild)
+//! (see [`RankDp`]), the propagation passes are the very same
+//! `pub(crate)` functions `SpreadState` runs, and the local refresh
+//! re-folds single nodes with exactly those passes' operations in their
+//! order. [`rebuild`](SpreadEngine::rebuild)
 //! is the escape hatch that recomputes everything from scratch; proptests
 //! in `crates/propagation/tests/proptests.rs` pin that it never changes a
 //! bit. This is what lets the greedy phases switch to the engine while
@@ -43,9 +58,11 @@ use crate::cost::seed_cost;
 use crate::rank::{redemption_probs_into, RankDp};
 use crate::spread::{
     accumulate_gains, benefit_sum, collect_eligible, propagate_activation, spread_levels_into,
-    DistRef, SpreadState,
+    DistRef, PassRecord, SpreadState,
 };
 use osn_graph::{CsrGraph, NodeData, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Evaluation-effort counters (surfaced through S3CA's `Telemetry` and the
 /// Fig. 9 experiment CSV).
@@ -62,6 +79,10 @@ pub struct EngineCounters {
     /// Per-holder from-scratch DP rebuilds (new holders, eligibility
     /// changes from seed additions, coupon retrievals).
     pub holder_rebuilds: u64,
+    /// Non-structural refreshes (broadens, partial retrievals) that
+    /// re-folded only the nodes the move could change instead of
+    /// re-running the spread's passes.
+    pub local_refreshes: u64,
 }
 
 impl EngineCounters {
@@ -72,6 +93,7 @@ impl EngineCounters {
             incremental_updates: self.incremental_updates - earlier.incremental_updates,
             structural_refreshes: self.structural_refreshes - earlier.structural_refreshes,
             holder_rebuilds: self.holder_rebuilds - earlier.holder_rebuilds,
+            local_refreshes: self.local_refreshes - earlier.local_refreshes,
         }
     }
 
@@ -82,6 +104,7 @@ impl EngineCounters {
             incremental_updates: self.incremental_updates + other.incremental_updates,
             structural_refreshes: self.structural_refreshes + other.structural_refreshes,
             holder_rebuilds: self.holder_rebuilds + other.holder_rebuilds,
+            local_refreshes: self.local_refreshes + other.local_refreshes,
         }
     }
 }
@@ -120,6 +143,39 @@ struct Holder {
 
 const NO_SLOT: u32 = u32::MAX;
 
+/// Generation-stamped set over a fixed index range: clearing is a
+/// generation bump, except when the counter wraps, which wipes the stamps
+/// so an entry stamped 2^32 − 1 generations ago cannot read as marked.
+#[derive(Clone, Debug, Default)]
+struct Marks {
+    stamp: Vec<u32>,
+    generation: u32,
+}
+
+impl Marks {
+    /// Grow to cover indices `0..len` (new entries unmarked).
+    fn cover(&mut self, len: usize) {
+        if self.stamp.len() < len {
+            self.stamp.resize(len, 0);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// Mark `i`; returns whether it was unmarked.
+    fn insert(&mut self, i: usize) -> bool {
+        let fresh = self.stamp[i] != self.generation;
+        self.stamp[i] = self.generation;
+        fresh
+    }
+}
+
 /// Stateful analytic evaluator of one evolving deployment. See the module
 /// docs for the maintenance strategy and the bit-identity contract.
 #[derive(Clone, Debug)]
@@ -150,6 +206,34 @@ pub struct SpreadEngine<'a> {
     /// activation probability is 0 and every gain is the node's own
     /// benefit, so a refresh diffs only `order` and `left`.
     left: Vec<NodeId>,
+    /// Node → index into `spread_dists` (`NO_SLOT` unless the node is a
+    /// propagating holder).
+    dist_of: Vec<u32>,
+    /// Per-member in-entry CSR over the propagating distributions:
+    /// `in_entries[in_span[v].0..in_span[v].1]` holds `(dist index, rank
+    /// position)` of every entry targeting `v`, ascending by dist index —
+    /// the order the propagation passes fold them in. Node-indexed; only
+    /// current members' spans are meaningful.
+    in_span: Vec<(u32, u32)>,
+    in_entries: Vec<(u32, u32)>,
+    /// `R(d)` per propagating distribution and `A(v)` per member, as
+    /// recorded by the last propagation (see `PassRecord`) and kept current
+    /// by local refreshes.
+    read_prob: Vec<f64>,
+    ordered_prob: Vec<f64>,
+    /// Whether every non-seed member's probability is its first Jacobi
+    /// round's product (the fixpoint stopped after one round) — the state
+    /// local refreshes maintain.
+    first_round_fixpoint: bool,
+    /// Local-refresh scratch: dedup marks over dist indices and nodes, the
+    /// dist-index heaps, and the nodes whose ordered-pass value (`fold`)
+    /// or first-round product (`product`) must be re-folded.
+    dist_marks: Marks,
+    node_marks: Marks,
+    read_heap: BinaryHeap<Reverse<u32>>,
+    gain_heap: BinaryHeap<u32>,
+    fold_nodes: Vec<NodeId>,
+    product_nodes: Vec<NodeId>,
     /// Fixpoint scratch.
     complement: Vec<f64>,
     /// Previous pass results, for exact-bit change detection.
@@ -191,6 +275,21 @@ impl<'a> SpreadEngine<'a> {
             holder_nodes: Vec::new(),
             spread_dists: Vec::new(),
             left: Vec::new(),
+            dist_of: vec![NO_SLOT; n],
+            in_span: vec![(0, 0); n],
+            in_entries: Vec::new(),
+            read_prob: Vec::new(),
+            ordered_prob: vec![0.0; n],
+            first_round_fixpoint: false,
+            dist_marks: Marks::default(),
+            node_marks: Marks {
+                stamp: vec![0; n],
+                generation: 0,
+            },
+            read_heap: BinaryHeap::new(),
+            gain_heap: BinaryHeap::new(),
+            fold_nodes: Vec::new(),
+            product_nodes: Vec::new(),
             complement: vec![1.0; n],
             prev_active: vec![0.0; n],
             prev_gain: benefits,
@@ -336,7 +435,7 @@ impl<'a> SpreadEngine<'a> {
             self.counters.incremental_updates += u64::from(add);
             // An internal node already relayed to its children: the spread
             // structure cannot change, only probabilities and gains do.
-            (add, self.refresh(false))
+            (add, self.refresh_q_change(u))
         } else {
             self.insert_holder(u, add);
             self.derive_structure();
@@ -420,7 +519,7 @@ impl<'a> SpreadEngine<'a> {
         } else {
             self.holders[s] = self.build_holder(u, new_k);
             // Still a relay: membership is unchanged, only q shrank.
-            (take, self.refresh(false))
+            (take, self.refresh_q_change(u))
         }
     }
 
@@ -551,17 +650,19 @@ impl<'a> SpreadEngine<'a> {
         self.holder_nodes.insert(at, node);
     }
 
-    /// Re-derive the spread structure (BFS levels/order and the ordered
-    /// distribution list) from the current seeds and coupons. Only the old
-    /// and new members are visited: the old ones first drop back to the
-    /// outside-the-spread state (no level, probability 0, own benefit as
-    /// gain), which also resets every former propagating holder.
+    /// Re-derive the spread structure (BFS levels/order, the ordered
+    /// distribution list and its in-entry CSR) from the current seeds and
+    /// coupons. Only the old and new members are visited: the old ones
+    /// first drop back to the outside-the-spread state (no level,
+    /// probability 0, own benefit as gain), which also resets every former
+    /// propagating holder. O(|spread| + Σ holder out-degree).
     fn derive_structure(&mut self) {
         let former = std::mem::take(&mut self.order);
         for &v in &former {
             self.levels[v.index()] = None;
             self.active_prob[v.index()] = 0.0;
             self.subtree_gain[v.index()] = self.data.benefit(v);
+            self.dist_of[v.index()] = NO_SLOT;
         }
         spread_levels_into(
             self.graph,
@@ -581,7 +682,34 @@ impl<'a> SpreadEngine<'a> {
             let s = self.slot[u.index()];
             debug_assert_ne!(s, NO_SLOT);
             if !self.holders[s as usize].targets.is_empty() {
+                self.dist_of[u.index()] = self.spread_dists.len() as u32;
                 self.spread_dists.push(s);
+            }
+        }
+        self.dist_marks.cover(self.spread_dists.len());
+        // In-entry CSR: count per target, prefix-sum into spans, then fill
+        // in ascending (dist index, rank position) order.
+        for &v in &self.order {
+            self.in_span[v.index()] = (0, 0);
+        }
+        for &s in &self.spread_dists {
+            for &t in &self.holders[s as usize].targets {
+                self.in_span[t.index()].1 += 1;
+            }
+        }
+        let mut total = 0u32;
+        for &v in &self.order {
+            let count = self.in_span[v.index()].1;
+            self.in_span[v.index()] = (total, total);
+            total += count;
+        }
+        self.in_entries.clear();
+        self.in_entries.resize(total as usize, (0, 0));
+        for (d, &s) in self.spread_dists.iter().enumerate() {
+            for (j, &t) in self.holders[s as usize].targets.iter().enumerate() {
+                let end = &mut self.in_span[t.index()].1;
+                self.in_entries[*end as usize] = (d as u32, j as u32);
+                *end += 1;
             }
         }
         self.counters.structural_refreshes += 1;
@@ -608,13 +736,17 @@ impl<'a> SpreadEngine<'a> {
                 }
             })
             .collect();
-        propagate_activation(
+        self.first_round_fixpoint = propagate_activation(
             &dists,
             &self.order,
             &self.seeds,
             &self.seed_mask,
             &mut self.active_prob,
             &mut self.complement,
+            Some(PassRecord {
+                read: &mut self.read_prob,
+                ordered: &mut self.ordered_prob,
+            }),
         );
         // Gains differ from the own benefit only at propagating holders
         // (former ones were reset by `derive_structure`): reset the current
@@ -646,6 +778,209 @@ impl<'a> SpreadEngine<'a> {
         delta.probs_changed.sort_unstable();
         delta.gains_changed.sort_unstable();
         delta
+    }
+
+    /// Refresh after a move that changed only holder `h`'s q (a broaden or
+    /// a partial retrieval): the local re-fold when it applies, else the
+    /// full [`refresh`](Self::refresh).
+    fn refresh_q_change(&mut self, h: NodeId) -> RefreshDelta {
+        match self.refresh_local(h) {
+            Some(delta) => {
+                self.counters.local_refreshes += 1;
+                delta
+            }
+            None => self.refresh(false),
+        }
+    }
+
+    /// Re-fold only the nodes a change of `h`'s q can reach, with the exact
+    /// floating-point sequence of the full passes. With the propagating
+    /// holders indexed `d` in spread order:
+    ///
+    /// * the ordered pass leaves each member at the fold
+    ///   `x ← 1 − (1 − x)(1 − R(d)·q_d[j])` over its in-entries in
+    ///   ascending `d`, where `R(d)` — what holder `d` had when the pass
+    ///   read it — is the same fold cut before entry `d`;
+    /// * the first Jacobi round is the product `Π (1 − A(d)·q_d[j])` over
+    ///   the same entries, `A` being the ordered-pass results;
+    /// * holder `d`'s gain is `b + Σ q_j·G(t_j)`, where `G(t)` is `t`'s
+    ///   gain if `t` is a later propagating holder and `b(t)` otherwise.
+    ///
+    /// So `R` is re-folded in ascending `d` from `h`'s later holder
+    /// targets (a min-heap; a holder's targets are pushed only when its
+    /// `R` bits change), `A` at every target of `h` or of a holder whose
+    /// `R` changed, the products at every target of `h` or of a holder
+    /// whose `A` changed, and gains in descending `d` from `h` through
+    /// earlier in-holders (a max-heap). The cost is those re-folds plus
+    /// the O(|spread|) benefit sum.
+    ///
+    /// Returns `None` when the fixpoint needed more than one round before
+    /// the move or would after it: rounds 2–3 read every member, so only
+    /// the full pass reproduces them.
+    fn refresh_local(&mut self, h: NodeId) -> Option<RefreshDelta> {
+        debug_assert!(self.left.is_empty(), "a structural refresh is pending");
+        let dh = self.dist_of[h.index()];
+        if dh == NO_SLOT {
+            // `h` has no eligible child in the spread: its q feeds no pass.
+            return Some(RefreshDelta::default());
+        }
+        if !self.first_round_fixpoint {
+            return None;
+        }
+
+        // R, ascending: holder e's R reads only entries of holders d < e.
+        self.dist_marks.clear();
+        self.node_marks.clear();
+        self.fold_nodes.clear();
+        self.reach_targets(dh);
+        while let Some(Reverse(e)) = self.read_heap.pop() {
+            let r = self.ordered_fold(self.dist_node(e), e);
+            if r.to_bits() != self.read_prob[e as usize].to_bits() {
+                self.read_prob[e as usize] = r;
+                self.reach_targets(e);
+            }
+        }
+
+        // A, and the first-round products that read it.
+        self.node_marks.clear();
+        self.product_nodes.clear();
+        self.mark_products(dh);
+        for i in 0..self.fold_nodes.len() {
+            let v = self.fold_nodes[i];
+            let a = self.ordered_fold(v, NO_SLOT);
+            if a.to_bits() != self.ordered_prob[v.index()].to_bits() {
+                self.ordered_prob[v.index()] = a;
+                let d = self.dist_of[v.index()];
+                if d != NO_SLOT {
+                    self.mark_products(d);
+                }
+            }
+        }
+        for i in 0..self.product_nodes.len() {
+            let v = self.product_nodes[i];
+            self.active_prob[v.index()] = self.product_fold(v);
+        }
+        // The fixpoint stops after round 1 iff every non-seed member moved
+        // by less than 1e-12 (the pass's own test); untouched members did
+        // before the move and still do.
+        let (active, ordered) = (&self.active_prob, &self.ordered_prob);
+        let moved = |v: &NodeId| (active[v.index()] - ordered[v.index()]).abs() >= 1e-12;
+        if self.fold_nodes.iter().chain(&self.product_nodes).any(moved) {
+            return None;
+        }
+
+        let mut delta = RefreshDelta::default();
+        for &v in &self.product_nodes {
+            let i = v.index();
+            if self.active_prob[i].to_bits() != self.prev_active[i].to_bits() {
+                delta.probs_changed.push(v);
+                self.prev_active[i] = self.active_prob[i];
+            }
+        }
+
+        // Gains, descending: holder d's gain reads only holders e > d.
+        self.dist_marks.clear();
+        self.dist_marks.insert(dh as usize);
+        self.gain_heap.push(dh);
+        while let Some(e) = self.gain_heap.pop() {
+            let holder = &self.holders[self.spread_dists[e as usize] as usize];
+            let mut gain = self.data.benefit(holder.node);
+            for (&t, &qj) in holder.targets.iter().zip(holder.dp.q().iter()) {
+                let f = self.dist_of[t.index()];
+                let g = if f != NO_SLOT && f > e {
+                    self.subtree_gain[t.index()]
+                } else {
+                    self.data.benefit(t)
+                };
+                gain += qj * g;
+            }
+            let i = holder.node.index();
+            if gain.to_bits() == self.subtree_gain[i].to_bits() {
+                continue;
+            }
+            self.subtree_gain[i] = gain;
+            self.prev_gain[i] = gain;
+            delta.gains_changed.push(holder.node);
+            let (lo, hi) = self.in_span[i];
+            for &(d, _) in &self.in_entries[lo as usize..hi as usize] {
+                if d >= e {
+                    break;
+                }
+                if self.dist_marks.insert(d as usize) {
+                    self.gain_heap.push(d);
+                }
+            }
+        }
+
+        self.expected_benefit = benefit_sum(&self.order, &self.active_prob, self.data);
+        delta.probs_changed.sort_unstable();
+        delta.gains_changed.sort_unstable();
+        Some(delta)
+    }
+
+    /// The node of propagating distribution `d`.
+    fn dist_node(&self, d: u32) -> NodeId {
+        self.holders[self.spread_dists[d as usize] as usize].node
+    }
+
+    /// Distribution `d`'s targets need their ordered-pass value re-folded,
+    /// and its later holder targets their `R`.
+    fn reach_targets(&mut self, d: u32) {
+        let holder = &self.holders[self.spread_dists[d as usize] as usize];
+        for &t in &holder.targets {
+            if self.node_marks.insert(t.index()) {
+                self.fold_nodes.push(t);
+            }
+            let e = self.dist_of[t.index()];
+            if e != NO_SLOT && e > d && self.dist_marks.insert(e as usize) {
+                self.read_heap.push(Reverse(e));
+            }
+        }
+    }
+
+    /// Distribution `d`'s targets need their first-round product re-folded.
+    fn mark_products(&mut self, d: u32) {
+        let holder = &self.holders[self.spread_dists[d as usize] as usize];
+        for &t in &holder.targets {
+            if self.node_marks.insert(t.index()) {
+                self.product_nodes.push(t);
+            }
+        }
+    }
+
+    /// The ordered pass's fold at `v` over its in-entries from holders
+    /// before dist index `upto` (`NO_SLOT`: all of them) — `R` or `A`.
+    fn ordered_fold(&self, v: NodeId, upto: u32) -> f64 {
+        let (lo, hi) = self.in_span[v.index()];
+        let mut x = 0.0f64;
+        for &(d, j) in &self.in_entries[lo as usize..hi as usize] {
+            if d >= upto {
+                break;
+            }
+            let pu = self.read_prob[d as usize];
+            if pu <= 0.0 {
+                continue;
+            }
+            let qj = self.holders[self.spread_dists[d as usize] as usize].dp.q()[j as usize];
+            let c = pu * qj;
+            x = 1.0 - (1.0 - x) * (1.0 - c);
+        }
+        x
+    }
+
+    /// The first Jacobi round's probability at `v`.
+    fn product_fold(&self, v: NodeId) -> f64 {
+        let (lo, hi) = self.in_span[v.index()];
+        let mut complement = 1.0f64;
+        for &(d, j) in &self.in_entries[lo as usize..hi as usize] {
+            let holder = &self.holders[self.spread_dists[d as usize] as usize];
+            let pu = self.ordered_prob[holder.node.index()];
+            if pu <= 0.0 {
+                continue;
+            }
+            complement *= 1.0 - pu * holder.dp.q()[j as usize];
+        }
+        1.0 - complement
     }
 }
 
@@ -797,6 +1132,166 @@ mod tests {
             after.expected_benefit.to_bits()
         );
         assert_eq!(engine.counters().full_rebuilds, 2);
+    }
+
+    fn digraph(n: usize, edges: &[(u32, u32, f64)]) -> CsrGraph {
+        let mut b = GraphBuilder::new(n);
+        for &(u, v, p) in edges {
+            b.add_edge(u, v, p).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// Non-uniform benefits, so a stale gain shows in the bits.
+    fn ramp_data(n: usize) -> NodeData {
+        let benefit = (0..n).map(|i| 1.0 + 0.37 * i as f64).collect();
+        NodeData::new(benefit, vec![1.0; n], vec![0.5; n]).unwrap()
+    }
+
+    /// Apply one non-structural move and check all three refresh outcomes'
+    /// shared contract: the state equals a from-scratch evaluation bit for
+    /// bit, the delta is the exact bitwise diff and names exactly
+    /// `probs`/`gains`, and the local path was (or was not) taken.
+    fn check_move(
+        engine: &mut SpreadEngine<'_>,
+        graph: &CsrGraph,
+        data: &NodeData,
+        apply: impl FnOnce(&mut SpreadEngine<'_>) -> RefreshDelta,
+        local: bool,
+        probs: &[u32],
+        gains: &[u32],
+    ) {
+        let before = engine.to_state();
+        let locals = engine.counters().local_refreshes;
+        let delta = apply(engine);
+        let after = engine.to_state();
+        assert_engine_matches_evaluate(engine, graph, data);
+        let diff = |a: &[f64], b: &[f64]| -> Vec<NodeId> {
+            (0..a.len())
+                .filter(|&i| a[i].to_bits() != b[i].to_bits())
+                .map(NodeId::from_index)
+                .collect()
+        };
+        assert_eq!(
+            delta.probs_changed,
+            diff(&before.active_prob, &after.active_prob)
+        );
+        assert_eq!(
+            delta.gains_changed,
+            diff(&before.subtree_gain, &after.subtree_gain)
+        );
+        let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        assert_eq!(delta.probs_changed, ids(probs), "probs_changed");
+        assert_eq!(delta.gains_changed, ids(gains), "gains_changed");
+        assert!(!delta.structural);
+        assert_eq!(
+            engine.counters().local_refreshes - locals,
+            u64::from(local),
+            "refresh path"
+        );
+    }
+
+    #[test]
+    fn broadens_on_a_tree_take_the_local_path() {
+        let (g, d) = example1();
+        let mut k = vec![0u32; 7];
+        k[0] = 1;
+        k[1] = 1;
+        let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &k);
+        assert!(engine.first_round_fixpoint);
+        // A second coupon changes only the second-ranked child's q (v2);
+        // only v0's own gain reads q_v0.
+        let broaden_v0 = |e: &mut SpreadEngine<'_>| e.add_coupons(NodeId(0), 1).1;
+        check_move(&mut engine, &g, &d, broaden_v0, true, &[2], &[0]);
+        // v1's q reaches v4; its gain change climbs to v0.
+        let broaden_v1 = |e: &mut SpreadEngine<'_>| e.add_coupons(NodeId(1), 1).1;
+        check_move(&mut engine, &g, &d, broaden_v1, true, &[4], &[0, 1]);
+        assert_eq!(engine.counters().local_refreshes, 2);
+
+        // With v2 relaying, v0's broaden reaches v2's children through
+        // v2's read probability.
+        k[1] = 0;
+        k[2] = 1;
+        let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &k);
+        check_move(&mut engine, &g, &d, broaden_v0, true, &[2, 5, 6], &[0]);
+    }
+
+    #[test]
+    fn local_broaden_then_one_that_breaks_first_round_convergence() {
+        // s=0, a=1, b=2, c=3, d=4, e=5, f=6. With one coupon b almost
+        // surely redeems at c, so b -> a barely moves a and one Jacobi
+        // round converges; a second coupon makes the a <-> b cycle matter.
+        let g = digraph(
+            7,
+            &[
+                (0, 1, 0.9),
+                (1, 2, 0.9),
+                (2, 3, 1.0 - 1e-14),
+                (2, 1, 0.9),
+                (2, 4, 0.5),
+                (4, 5, 0.6),
+                (4, 6, 0.4),
+            ],
+        );
+        let d = ramp_data(7);
+        let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &[1, 1, 1, 0, 1, 0, 0]);
+        assert!(engine.first_round_fixpoint);
+        // Broadening d re-folds b's gain, which must read a — an earlier
+        // holder — at its own benefit, as the backward pass does.
+        let broaden_d = |e: &mut SpreadEngine<'_>| e.add_coupons(NodeId(4), 1).1;
+        check_move(&mut engine, &g, &d, broaden_d, true, &[6], &[0, 1, 2, 4]);
+        assert!(engine.first_round_fixpoint);
+        let broaden_b = |e: &mut SpreadEngine<'_>| e.add_coupons(NodeId(2), 1).1;
+        check_move(
+            &mut engine,
+            &g,
+            &d,
+            broaden_b,
+            false,
+            &[1, 2, 3, 4, 5, 6],
+            &[0, 1, 2],
+        );
+        assert!(!engine.first_round_fixpoint);
+    }
+
+    #[test]
+    fn moves_from_an_unconverged_state_fall_back() {
+        // s=0, a=1, b=2, c=3: the a <-> b cycle needs several rounds.
+        let g = digraph(
+            4,
+            &[
+                (0, 1, 0.9),
+                (1, 2, 0.8),
+                (1, 3, 0.7),
+                (2, 1, 0.9),
+                (2, 3, 0.6),
+            ],
+        );
+        let d = ramp_data(4);
+        let mut engine = SpreadEngine::new(&g, &d, &[NodeId(0)], &[1, 1, 1, 0]);
+        assert!(!engine.first_round_fixpoint);
+        let broaden_a = |e: &mut SpreadEngine<'_>| e.add_coupons(NodeId(1), 1).1;
+        check_move(&mut engine, &g, &d, broaden_a, false, &[3], &[0, 1]);
+        let broaden_b = |e: &mut SpreadEngine<'_>| e.add_coupons(NodeId(2), 1).1;
+        check_move(&mut engine, &g, &d, broaden_b, false, &[3], &[0, 1, 2]);
+        let retrieve_a = |e: &mut SpreadEngine<'_>| e.remove_coupons(NodeId(1), 1).1;
+        check_move(&mut engine, &g, &d, retrieve_a, false, &[3], &[0, 1]);
+        assert_eq!(engine.counters().local_refreshes, 0);
+    }
+
+    #[test]
+    fn marks_survive_generation_wrap_around() {
+        let mut marks = Marks::default();
+        marks.cover(2);
+        // A stamp left from generation 1, about to be reused after a wrap.
+        marks.stamp[1] = 1;
+        marks.generation = u32::MAX;
+        assert!(marks.insert(0));
+        assert!(!marks.insert(0));
+        marks.clear();
+        assert_eq!(marks.generation, 1);
+        assert!(marks.insert(0), "a pre-wrap stamp reads as marked");
+        assert!(marks.insert(1), "a stale generation-1 stamp aliases");
     }
 
     #[test]

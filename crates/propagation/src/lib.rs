@@ -73,15 +73,19 @@
 //!   DP sweep); a *broaden* move
 //!   ([`add_coupons`](SpreadEngine::add_coupons) on a current holder)
 //!   extends that holder's saturating consumption distribution in O(deg)
-//!   and refreshes the spread's probabilities and gains; *deepen*, *new
-//!   seed* ([`add_seed_package`](SpreadEngine::add_seed_package)) and
-//!   *coupon retrieval* ([`remove_coupons`](SpreadEngine::remove_coupons))
+//!   and re-folds only the probabilities and gains that read the changed
+//!   q (plus the O(|spread|) benefit sum; a spread that needs a second
+//!   fixpoint round takes the full refresh instead); *deepen*, *new seed*
+//!   ([`add_seed_package`](SpreadEngine::add_seed_package)) and *coupon
+//!   retrieval* ([`remove_coupons`](SpreadEngine::remove_coupons))
 //!   re-derive the BFS structure but reuse every untouched holder's DP,
-//!   rebuilding only holders whose eligibility or count changed. Each
-//!   refresh touches only the current and former spread members, so a
-//!   move costs O(|spread| + Σ holder out-degree), not O(|V|). O(deg)
-//!   marginal probes ([`coupon_add_delta`](SpreadEngine::coupon_add_delta))
-//!   serve the greedy candidate ranking from the cached availability sums.
+//!   rebuilding only holders whose eligibility or count changed (a
+//!   retrieval that leaves the donor a coupon refreshes like a broaden).
+//!   A structural refresh touches only the current and former spread
+//!   members, so it costs O(|spread| + Σ holder out-degree), not O(|V|).
+//!   O(deg) marginal probes
+//!   ([`coupon_add_delta`](SpreadEngine::coupon_add_delta)) serve the
+//!   greedy candidate ranking from the cached availability sums.
 //!
 //! [`SpreadEngine::rebuild`] is the escape hatch: a complete from-scratch
 //! reconstruction, run only on construction (or on demand — e.g. after

@@ -18,6 +18,15 @@
 //! that are not seeds and do not sit at a hop level ≤ `level(u)`. This is
 //! the interpretation forced by Fig. 1(c) case 2, where the seed `v1` is
 //! excluded from `v2`'s rank competition (see `DESIGN.md`).
+//!
+//! **Cost.** [`SpreadState::evaluate`] is O(|V| + Σ holder out-degree · k)
+//! per call. The passes themselves (`propagate_activation`,
+//! `accumulate_gains`, `benefit_sum`) touch only spread members, so the
+//! incremental [`SpreadEngine`](crate::engine::SpreadEngine) pays
+//! O(|spread| + Σ holder out-degree) for a structural move. For a broaden
+//! or partial retrieval it runs none of them but the benefit sum: it
+//! re-folds the changed nodes from the values the ordered pass recorded
+//! (`PassRecord`), so such a move costs those re-folds plus O(|spread|).
 
 use crate::rank::redemption_probs;
 use osn_graph::{CsrGraph, NodeData, NodeId};
@@ -115,6 +124,19 @@ pub(crate) struct DistRef<'a> {
     pub q: &'a [f64],
 }
 
+/// What [`propagate_activation`] records for an incremental caller, so
+/// that single nodes can later be re-folded from their in-entries with the
+/// pass's own arithmetic (see `SpreadEngine`'s local refresh).
+pub(crate) struct PassRecord<'r> {
+    /// `R(d)`: the probability distribution `d`'s holder had when the
+    /// ordered pass read it, one entry per distribution in `dists` order.
+    pub read: &'r mut Vec<f64>,
+    /// `A(v)`: every member's ordered-pass result (node-indexed; only the
+    /// member entries are written) — the values the first Jacobi round
+    /// multiplies with.
+    pub ordered: &'r mut [f64],
+}
+
 /// Forward pass: activation probabilities in ascending level order (one
 /// exact pass on forests), then Jacobi fixpoint refinement so cross- and
 /// back-edges of cyclic graphs contribute too.
@@ -131,6 +153,11 @@ pub(crate) struct DistRef<'a> {
 /// ±15% of Monte-Carlo on adversarially dense reciprocal graphs (see
 /// `tests/evaluator_consistency.rs`). Forests converge immediately (delta
 /// 0 after one round), so the pinned paper numbers are untouched.
+///
+/// Returns whether the refinement stopped after its first round (every
+/// non-seed member moved by less than 1e-12), i.e. whether the final
+/// probabilities are exactly the first round's products. `record`, when
+/// given, receives the ordered pass's intermediate values.
 pub(crate) fn propagate_activation(
     dists: &[DistRef<'_>],
     members: &[NodeId],
@@ -138,7 +165,8 @@ pub(crate) fn propagate_activation(
     seed_mask: &[bool],
     active_prob: &mut [f64],
     complement: &mut [f64],
-) {
+    mut record: Option<PassRecord<'_>>,
+) -> bool {
     for &v in members {
         active_prob[v.index()] = 0.0;
         complement[v.index()] = 1.0;
@@ -146,9 +174,15 @@ pub(crate) fn propagate_activation(
     for &s in seeds {
         active_prob[s.index()] = 1.0;
     }
+    if let Some(r) = record.as_mut() {
+        r.read.clear();
+    }
     // Initial ordered pass (exact on forests).
     for d in dists {
         let pu = active_prob[d.node.index()];
+        if let Some(r) = record.as_mut() {
+            r.read.push(pu);
+        }
         if pu <= 0.0 {
             continue;
         }
@@ -158,9 +192,14 @@ pub(crate) fn propagate_activation(
             *pv = 1.0 - (1.0 - *pv) * (1.0 - c);
         }
     }
+    if let Some(r) = record.as_mut() {
+        for &v in members {
+            r.ordered[v.index()] = active_prob[v.index()];
+        }
+    }
     // Bounded fixpoint refinement: recompute every non-seed probability
     // from all incoming distributions.
-    for _ in 0..3 {
+    for round in 0..3 {
         for d in dists {
             let pu = active_prob[d.node.index()];
             if pu <= 0.0 {
@@ -186,9 +225,10 @@ pub(crate) fn propagate_activation(
             active_prob[i] = new_p;
         }
         if delta < 1e-12 {
-            break;
+            return round == 0;
         }
     }
+    false
 }
 
 /// Backward pass: subtree gains in descending level order, reusing the
@@ -274,6 +314,7 @@ impl SpreadState {
             &seed_mask,
             &mut active_prob,
             &mut complement,
+            None,
         );
 
         // Outside the spread every node's gain is just its own benefit (no

@@ -151,6 +151,93 @@ fn assert_rebuild_is_a_no_op(engine: &mut SpreadEngine<'_>, graph: &CsrGraph, da
     assert_engine_is_fresh(engine, graph, data);
 }
 
+/// The `(seeds, coupons)` a move script should have produced, applied in
+/// step with a [`SpreadEngine`] (seed 0 with one coupon to start).
+struct Mirror {
+    seeds: Vec<NodeId>,
+    coupons: Vec<u32>,
+}
+
+impl Mirror {
+    fn new(graph: &CsrGraph) -> Mirror {
+        let mut coupons = vec![0u32; DG_N];
+        coupons[0] = (graph.out_degree(NodeId(0)) as u32).min(1);
+        Mirror {
+            seeds: vec![NodeId(0)],
+            coupons,
+        }
+    }
+
+    /// Apply move `op` (0 coupon grant, 1 seed package, 2 retrieval, else a
+    /// pair of read-only probes) to both, then check the engine against a
+    /// from-scratch evaluation and its delta against the brute-force diff.
+    fn apply_checked(
+        &mut self,
+        engine: &mut SpreadEngine<'_>,
+        g: &CsrGraph,
+        d: &NodeData,
+        op: u8,
+        v: NodeId,
+        amount: u32,
+    ) {
+        let before = engine.to_state();
+        match op {
+            0 => {
+                // Mirror Deployment::add_coupons' capping.
+                let cap = g.out_degree(v) as u32;
+                let cur = self.coupons[v.index()];
+                let add = amount.min(cap.saturating_sub(cur));
+                self.coupons[v.index()] = cur + add;
+                let (added, delta) = engine.add_coupons(v, amount);
+                assert_eq!(added, add, "cap mismatch on coupon grant");
+                // Only a first coupon can grow the spread.
+                let structural = add > 0 && cur == 0;
+                assert_delta_is_exact(&before, &engine.to_state(), &delta, structural);
+            }
+            1 => {
+                if !self.seeds.contains(&v) {
+                    self.seeds.push(v);
+                }
+                let cap = g.out_degree(v) as u32;
+                let cur = self.coupons[v.index()];
+                self.coupons[v.index()] = cur + amount.min(cap.saturating_sub(cur));
+                let delta = engine.add_seed_package(v, amount);
+                assert_delta_is_exact(&before, &engine.to_state(), &delta, true);
+            }
+            2 => {
+                let cur = self.coupons[v.index()];
+                let take = amount.min(cur);
+                self.coupons[v.index()] -= take;
+                let (removed, delta) = engine.remove_coupons(v, amount);
+                assert_eq!(removed, take, "cap mismatch on retrieval");
+                // Only retrieving the last coupon can shrink the spread.
+                let structural = take > 0 && take == cur;
+                assert_delta_is_exact(&before, &engine.to_state(), &delta, structural);
+            }
+            _ => {
+                // Marginal probes must never perturb the state.
+                let mut scratch = DeltaScratch::default();
+                let _ = engine.coupon_add_delta(v, &mut scratch);
+                let _ = engine.coupon_removal_delta(v, &mut scratch);
+            }
+        }
+        assert_eq!(engine.seeds(), &self.seeds[..]);
+        assert_eq!(engine.coupons(), &self.coupons[..]);
+        assert_engine_is_fresh(engine, g, d);
+    }
+
+    /// Check `rebuild()` is a no-op, retrieve every coupon (checking each
+    /// retrieval), and check `rebuild()` again on the emptied spread.
+    fn drain_checked(&mut self, engine: &mut SpreadEngine<'_>, g: &CsrGraph, d: &NodeData) {
+        assert_rebuild_is_a_no_op(engine, g, d);
+        for v in 0..DG_N as u32 {
+            self.apply_checked(engine, g, d, 2, NodeId(v), u32::MAX);
+        }
+        assert!(engine.coupons().iter().all(|&k| k == 0));
+        assert_rebuild_is_a_no_op(engine, g, d);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -444,64 +531,49 @@ proptest! {
     ) {
         let g = build_digraph(&edges);
         let d = dg_data();
-        let mut seeds = vec![NodeId(0)];
-        let mut coupons = vec![0u32; DG_N];
-        coupons[0] = (g.out_degree(NodeId(0)) as u32).min(1);
-        let mut engine = SpreadEngine::new(&g, &d, &seeds, &coupons);
+        let mut mirror = Mirror::new(&g);
+        let mut engine = SpreadEngine::new(&g, &d, &mirror.seeds, &mirror.coupons);
         assert_engine_is_fresh(&engine, &g, &d);
-        let drain: Vec<(u8, u32, u32)> = (0..DG_N as u32).map(|v| (2, v, u32::MAX)).collect();
-        for (step, &(op, node, amount)) in moves.iter().chain(&drain).enumerate() {
-            if step == moves.len() {
-                assert_rebuild_is_a_no_op(&mut engine, &g, &d);
-            }
-            let v = NodeId(node);
-            let before = engine.to_state();
-            match op {
-                0 => {
-                    // Mirror Deployment::add_coupons' capping.
-                    let cap = g.out_degree(v) as u32;
-                    let cur = coupons[v.index()];
-                    let add = amount.min(cap.saturating_sub(cur));
-                    coupons[v.index()] = cur + add;
-                    let (added, delta) = engine.add_coupons(v, amount);
-                    prop_assert_eq!(added, add, "cap mismatch on coupon grant");
-                    // Only a first coupon can grow the spread.
-                    let structural = add > 0 && cur == 0;
-                    assert_delta_is_exact(&before, &engine.to_state(), &delta, structural);
-                }
-                1 => {
-                    if !seeds.contains(&v) {
-                        seeds.push(v);
-                    }
-                    let cap = g.out_degree(v) as u32;
-                    let cur = coupons[v.index()];
-                    coupons[v.index()] = cur + amount.min(cap.saturating_sub(cur));
-                    let delta = engine.add_seed_package(v, amount);
-                    assert_delta_is_exact(&before, &engine.to_state(), &delta, true);
-                }
-                2 => {
-                    let cur = coupons[v.index()];
-                    let take = amount.min(cur);
-                    coupons[v.index()] -= take;
-                    let (removed, delta) = engine.remove_coupons(v, amount);
-                    prop_assert_eq!(removed, take, "cap mismatch on retrieval");
-                    // Only retrieving the last coupon can shrink the spread.
-                    let structural = take > 0 && take == cur;
-                    assert_delta_is_exact(&before, &engine.to_state(), &delta, structural);
-                }
-                _ => {
-                    // Marginal probes must never perturb the state.
-                    let mut scratch = DeltaScratch::default();
-                    let _ = engine.coupon_add_delta(v, &mut scratch);
-                    let _ = engine.coupon_removal_delta(v, &mut scratch);
-                }
-            }
-            prop_assert_eq!(engine.seeds(), &seeds[..]);
-            prop_assert_eq!(engine.coupons(), &coupons[..]);
-            assert_engine_is_fresh(&engine, &g, &d);
+        for &(op, node, amount) in &moves {
+            mirror.apply_checked(&mut engine, &g, &d, op, NodeId(node), amount);
         }
-        prop_assert!(engine.coupons().iter().all(|&k| k == 0));
-        assert_rebuild_is_a_no_op(&mut engine, &g, &d);
+        mirror.drain_checked(&mut engine, &g, &d);
+    }
+
+    /// The same contract under scripts that mostly broaden current holders
+    /// (and retrieve single coupons from multi-coupon holders) — the
+    /// non-structural moves the local refresh serves — interleaved with
+    /// enough first coupons and seed packages to grow cyclic spreads, so
+    /// both the local path and its fallbacks (a fixpoint that needs more
+    /// than one round before or after the move) are exercised.
+    #[test]
+    fn engine_equals_rebuild_under_broaden_heavy_scripts(
+        edges in digraph_strategy(),
+        moves in proptest::collection::vec((0u8..10, 0u32..DG_N as u32), 1..32),
+    ) {
+        let g = build_digraph(&edges);
+        let d = dg_data();
+        let mut mirror = Mirror::new(&g);
+        let mut engine = SpreadEngine::new(&g, &d, &mirror.seeds, &mirror.coupons);
+        for &(kind, pick) in &moves {
+            let holders: Vec<u32> = (0..DG_N as u32)
+                .filter(|&v| mirror.coupons[v as usize] > 0)
+                .collect();
+            let multi: Vec<u32> = holders
+                .iter()
+                .copied()
+                .filter(|&v| mirror.coupons[v as usize] > 1)
+                .collect();
+            let nth = |list: &[u32]| list[pick as usize % list.len()];
+            let (op, node) = match kind {
+                0..=5 if !holders.is_empty() => (0, nth(&holders)),
+                6 if !multi.is_empty() => (2, nth(&multi)),
+                9 => (1, pick),
+                _ => (0, pick),
+            };
+            mirror.apply_checked(&mut engine, &g, &d, op, NodeId(node), 1);
+        }
+        mirror.drain_checked(&mut engine, &g, &d);
     }
 
     /// O(deg) engine probes equal the O(deg·k) `SpreadState` deltas bit for

@@ -413,6 +413,33 @@ fn incremental_engine_matches_reference_csv_at_pinned_pool_sizes() {
     }
 }
 
+/// Every ID broaden on the benchmark network (Table II Facebook ×1.0,
+/// the graph of the `s3ca_mc` workload) takes the engine's local refresh.
+/// A change that silently fell back to the full passes on every move
+/// would stay bit-identical — every test above stays green — while each
+/// broaden paid for the whole spread again. Small dense instances
+/// legitimately fall back (on Facebook ×0.02 most spreads need a second
+/// fixpoint round), so this pins the network the speed claim is about.
+#[test]
+fn id_broadens_take_the_local_refresh_on_the_benchmark_network() {
+    use s3crm_core::id_phase::{investment_deployment, ExploreTracker};
+
+    let inst = DatasetProfile::Facebook
+        .generate(1.0, 42)
+        .expect("generation");
+    let mut explored = ExploreTracker::new(inst.graph.node_count());
+    let out = investment_deployment(&inst.graph, &inst.data, inst.budget, &mut explored, 200_000);
+    let counters = out.eval_counters;
+    assert!(
+        counters.incremental_updates > 1000,
+        "too few broadens to pin anything: {counters:?}"
+    );
+    assert_eq!(
+        counters.local_refreshes, counters.incremental_updates,
+        "broadens fell back to the full refresh"
+    );
+}
+
 /// Explore marking is delta-driven on the engine path (only nodes a move
 /// touched are re-tested between structural moves) but happens at the top
 /// of each iteration, like the reference scan. A run stopped by a small
